@@ -22,7 +22,7 @@ assertions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..channels.httpout import HTTPOutputChannel
 from ..core.exceptions import AccessDenied, PolicyViolation
@@ -184,8 +184,9 @@ class HotCRP:
 
         @web.middleware
         def resolve_principal(request, response):
-            response.set_user(request.user, priv_chair=self.is_chair(request.user))
-            response.context["is_pc"] = self.is_pc_member(request.user)
+            is_pc, priv_chair = self._principal(request.user)
+            response.set_user(request.user, priv_chair=priv_chair)
+            response.context["is_pc"] = is_pc
 
         @web.route("/paper/<int:paper_id>")
         def paper(request, response, paper_id):
@@ -271,13 +272,29 @@ class HotCRP:
         )
         return result.rows[0] if result.rows else None
 
+    def _principal(self, email: Optional[str]) -> Tuple[bool, bool]:
+        """``(is_pc, priv_chair)`` for ``email`` in one query that reads only
+        the two flags, so the password cell (and its policy) is never
+        loaded."""
+        if not email:
+            return False, False
+        result = self.env.db.query(
+            concat(
+                "SELECT is_pc, priv_chair FROM users WHERE email = '",
+                sql_quote(email),
+                "'",
+            )
+        )
+        if not result.rows:
+            return False, False
+        row = result.rows[0]
+        return bool(int(row["is_pc"])), bool(int(row["priv_chair"]))
+
     def is_pc_member(self, email: Optional[str]) -> bool:
-        row = self._user(email) if email else None
-        return bool(row and int(row["is_pc"]))
+        return self._principal(email)[0]
 
     def is_chair(self, email: Optional[str]) -> bool:
-        row = self._user(email) if email else None
-        return bool(row and int(row["priv_chair"]))
+        return self._principal(email)[1]
 
     # -- password reminder (the running example) --------------------------------------------
 
@@ -384,8 +401,9 @@ class HotCRP:
         return result.rows[0]
 
     def _response_for(self, user: Optional[str]) -> HTTPOutputChannel:
-        response = self.env.http_channel(user=user, priv_chair=self.is_chair(user))
-        response.context["is_pc"] = self.is_pc_member(user)
+        is_pc, priv_chair = self._principal(user)
+        response = self.env.http_channel(user=user, priv_chair=priv_chair)
+        response.context["is_pc"] = is_pc
         return response
 
     def paper_page(
@@ -459,13 +477,15 @@ class HotCRP:
         response.write(f"<h1>Reviews for paper #{paper_id}</h1>\n")
         paper = self._paper(paper_id)
         authors = [a.strip() for a in str(paper["authors"]).split(",")]
+        if not self.use_resin:
+            is_pc, priv_chair = self._principal(user)
         for review in reviews:
             if not self.use_resin:
                 # The (correct) explicit check of the original code: only PC
                 # members and authors of released reviews may see a review.
                 allowed = (
-                    self.is_pc_member(user)
-                    or self.is_chair(user)
+                    is_pc
+                    or priv_chair
                     or (int(review["released"]) and user in authors)
                 )
                 if not allowed:

@@ -10,7 +10,8 @@ and the persistence filter can recover the policies of string literals.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import List
 
 from ..core.exceptions import SQLError
 from ..tracking.tainted_str import TaintedStr
@@ -33,9 +34,25 @@ PUNCT = "PUNCT"
 PARAM = "PARAM"
 EOF = "EOF"
 
-#: Multi- and single-character operators, longest first.
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-")
-_PUNCTUATION = "(),.;*"
+#: One scanner for the whole dialect, matched at each position; the named
+#: group that matched is the token kind.  ``\s``, ``\d`` and ``\w`` are the
+#: Unicode classes of ``str.isspace``, ``str.isdecimal`` and ``str.isalnum``
+#: (plus ``_``).  An unterminated literal or comment fails its own
+#: alternative and falls through to ``unterminated``.
+_SCANNER = re.compile(
+    r"""
+      (?P<skip>\s+ | --[^\n]* | /\*.*?\*/)
+    | (?P<string>'[^']*(?:''[^']*)*')
+    | (?P<number>\d+(?:\.\d*)? | \.\d+)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<quoted>`[^`]*`?)
+    | (?P<param>:\w*)
+    | (?P<op><> | != | <= | >= | [=<>+-])
+    | (?P<punct>[(),.;*])
+    | (?P<unterminated>/\* | ')
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class Token:
@@ -65,143 +82,77 @@ class Token:
 
 
 def tokenize(sql) -> List[Token]:
-    """Tokenize ``sql`` into a list of tokens ending with an EOF token."""
+    """Tokenize ``sql`` into a list of tokens ending with an EOF token.
+
+    One pass: every token's ``text`` is a single tainted slice of ``sql``,
+    and a string literal's cooked value is one slice per run between
+    ``''`` escapes, so both keep the policies of the characters they came
+    from.
+    """
     if not isinstance(sql, TaintedStr):
         sql = TaintedStr(sql)
+    text = str(sql)
+    length = len(text)
+    match = _SCANNER.match
     tokens: List[Token] = []
     index = 0
-    length = len(sql)
-    text = str(sql)
-
     while index < length:
-        char = text[index]
-
-        if char.isspace():
-            index += 1
+        found = match(text, index)
+        if found is None:
+            raise SQLError(f"unexpected character {text[index]!r} at position {index}")
+        kind = found.lastgroup
+        start, end = found.span()
+        index = end
+        if kind == "skip":
             continue
-
-        if text.startswith("--", index):
-            newline = text.find("\n", index)
-            index = length if newline < 0 else newline + 1
-            continue
-
-        if text.startswith("/*", index):
-            end = text.find("*/", index + 2)
-            if end < 0:
-                raise SQLError("unterminated comment")
-            index = end + 2
-            continue
-
-        if char == "'":
-            token, index = _read_string(sql, text, index)
-            tokens.append(token)
-            continue
-
-        if char.isdigit() or (
-            char == "." and index + 1 < length and text[index + 1].isdigit()
-        ):
-            token, index = _read_number(sql, text, index)
-            tokens.append(token)
-            continue
-
-        if char.isalpha() or char == "_" or char == "`":
-            token, index = _read_word(sql, text, index)
-            tokens.append(token)
-            continue
-
-        if char == ":":
-            start = index
-            index += 1
-            while index < length and (text[index].isalnum() or text[index] == "_"):
-                index += 1
-            if index == start + 1:
-                raise SQLError(
-                    f"expected parameter name after ':' at position {start}")
-            tokens.append(Token(PARAM, text[start + 1:index],
-                                sql[start:index], start, index))
-            continue
-
-        matched_op: Optional[str] = None
-        for op in _OPERATORS:
-            if text.startswith(op, index):
-                matched_op = op
-                break
-        if matched_op:
-            tokens.append(Token(OP, "!=" if matched_op == "<>" else matched_op,
-                                sql[index:index + len(matched_op)],
-                                index, index + len(matched_op)))
-            index += len(matched_op)
-            continue
-
-        if char in _PUNCTUATION:
-            tokens.append(Token(PUNCT, char, sql[index:index + 1],
-                                index, index + 1))
-            index += 1
-            continue
-
-        raise SQLError(f"unexpected character {char!r} at position {index}")
-
+        word = text[start:end]
+        if kind == "word":
+            if not (word[0].isalpha() or word[0] == "_"):
+                # ``\w`` also admits numeric characters that are not digits.
+                raise SQLError(f"unexpected character {word[0]!r} at position {start}")
+            lowered = word.lower()
+            if lowered in KEYWORDS:
+                token_type, value = KEYWORD, lowered
+            else:
+                token_type, value = IDENT, word
+        elif kind == "string":
+            token_type, value = STRING, _cook_string(sql, start, word)
+        elif kind == "number":
+            token_type, value = NUMBER, float(word) if "." in word else int(word)
+        elif kind == "op":
+            token_type, value = OP, "!=" if word == "<>" else word
+        elif kind == "punct":
+            token_type, value = PUNCT, word
+        elif kind == "param":
+            if end == start + 1:
+                raise SQLError(f"expected parameter name after ':' at position {start}")
+            token_type, value = PARAM, word[1:]
+        elif kind == "quoted":
+            # An unterminated backtick identifier runs to the end of the
+            # text; its span still counts the missing closing backtick.
+            token_type, value = IDENT, word[1:].rstrip("`")
+            end = start + len(value) + 2
+        elif word == "'":
+            raise SQLError("unterminated string literal")
+        else:
+            raise SQLError("unterminated comment")
+        tokens.append(Token(token_type, value, sql[start:end], start, end))
     tokens.append(Token(EOF, None, TaintedStr(""), length, length))
     return tokens
 
 
-def _read_string(sql: TaintedStr, text: str, index: int):
-    """Read a single-quoted string literal with ``''`` escaping.
-
-    The cooked value is assembled from tainted slices of the source so that
-    the literal's characters keep their policies.
-    """
-    start = index
-    index += 1
+def _cook_string(sql: TaintedStr, start: int, literal: str) -> TaintedStr:
+    """The value of the string literal ``literal`` found at ``start``: one
+    tainted slice per run between ``''`` escapes, each run keeping the
+    first quote of the escape that ends it."""
+    runs = literal[1:-1].split("''")
+    stop = start + len(literal) - 1
+    if len(runs) == 1:
+        return sql[start + 1 : stop]
     pieces = []
-    while True:
-        if index >= len(text):
-            raise SQLError("unterminated string literal")
-        char = text[index]
-        if char == "'":
-            if index + 1 < len(text) and text[index + 1] == "'":
-                pieces.append(sql[index:index + 1])
-                index += 2
-                continue
-            index += 1
-            break
-        pieces.append(sql[index:index + 1])
-        index += 1
-    value = TaintedStr("")
-    for piece in pieces:
-        value = value + piece
-    return Token(STRING, value, sql[start:index], start, index), index
-
-
-def _read_number(sql: TaintedStr, text: str, index: int):
-    start = index
-    seen_dot = False
-    while index < len(text) and (
-        text[index].isdigit() or (text[index] == "." and not seen_dot)
-    ):
-        if text[index] == ".":
-            seen_dot = True
-        index += 1
-    literal = text[start:index]
-    value = float(literal) if seen_dot else int(literal)
-    return Token(NUMBER, value, sql[start:index], start, index), index
-
-
-def _read_word(sql: TaintedStr, text: str, index: int):
-    start = index
-    quoted = text[index] == "`"
-    if quoted:
-        index += 1
-        start = index
-        while index < len(text) and text[index] != "`":
-            index += 1
-        word = text[start:index]
-        end = index + 1
-        return Token(IDENT, word, sql[start - 1:end], start - 1, end), end
-    while index < len(text) and (text[index].isalnum() or text[index] == "_"):
-        index += 1
-    word = text[start:index]
-    lowered = word.lower()
-    if lowered in KEYWORDS:
-        return Token(KEYWORD, lowered, sql[start:index], start, index), index
-    return Token(IDENT, word, sql[start:index], start, index), index
+    run = start + 1
+    for part in runs[:-1]:
+        pieces.append(sql[run : run + len(part) + 1])
+        run += len(part) + 2
+    pieces.append(sql[run:stop])
+    return TaintedStr("").join(pieces)

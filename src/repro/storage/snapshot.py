@@ -35,7 +35,8 @@ from ..fs.filesystem import FileSystem, Inode
 from ..sql import nodes
 from ..sql.engine import Engine, Table
 from ..sql.indexes import SecondaryIndex
-from .wal import decode_records, decode_value, encode_record, encode_value
+from .framing import write_record
+from .wal import decode_records, decode_value, encode_value
 
 __all__ = [
     "build_snapshot",
@@ -309,17 +310,25 @@ def snapshot_ids(directory: str) -> List[int]:
     return sorted(ids)
 
 
+#: How deep the snapshot writer opens the document: document -> tables ->
+#: table -> rows -> one row (and document -> fs -> entry -> xattrs).
+_STREAM_DEPTH = 4
+
+
 def write_snapshot(directory: str, doc: Dict[str, Any], *, sync: bool = True) -> str:
     """Write ``doc`` atomically as ``snap-<wal_start>.snap``; returns the
     path.  Temp-file + rename: a crash mid-write never damages an existing
-    snapshot, and a half-written temp file is simply ignored by the loader."""
+    snapshot, and a half-written temp file is simply ignored by the loader.
+
+    The file holds the bytes of ``encode_record(doc, max_bytes=None)``: one
+    trusted frame with no size cap (a whole store can exceed the WAL's
+    per-record limit; the loader reads it uncapped too).  It is streamed a
+    row at a time, so the writer holds about one row in memory rather than
+    copies of the whole store."""
     path = os.path.join(directory, _snapshot_name(doc["wal_start"]))
     tmp = path + ".tmp"
-    # A snapshot is one trusted frame with no size cap (a whole store can
-    # exceed the WAL's per-record limit); the loader reads it uncapped too.
-    frame = encode_record(doc, max_bytes=None)
     with open(tmp, "wb") as handle:
-        handle.write(frame)
+        write_record(handle, doc, depth=_STREAM_DEPTH)
         if sync:
             handle.flush()
             os.fsync(handle.fileno())

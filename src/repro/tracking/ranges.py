@@ -23,7 +23,8 @@ WAL round-trips are byte-identical with the eager representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.policy import Policy
 from ..core.policyset import PolicySet, as_policyset
@@ -190,41 +191,43 @@ class RangeMap:
     def _normalize(
         length: int, ranges: Iterable[PolicyRange]
     ) -> Tuple[PolicyRange, ...]:
-        # Clamp to [0, length), drop empty ranges and empty policy sets,
-        # split overlaps by recomputing per-boundary segments, and coalesce
-        # adjacent equal segments.
-        clamped: List[PolicyRange] = []
+        # Clamp to [0, length) and drop empty ranges and empty policy sets.
+        # Then sweep the sorted endpoints, keeping a multiset of the policy
+        # sets active between consecutive endpoints; each segment carries
+        # their union, and adjacent equal segments coalesce.  O(n log n).
+        events: List[Tuple[int, int, PolicySet]] = []
         for rng in ranges:
             start = max(0, rng.start)
             stop = min(length, rng.stop)
             if stop > start and rng.policies:
-                clamped.append(PolicyRange(start, stop, rng.policies))
-        if not clamped:
-            return ()
+                events.append((start, 1, rng.policies))
+                events.append((stop, -1, rng.policies))
+        events.sort(key=itemgetter(0))
 
-        boundaries = sorted({r.start for r in clamped} | {r.stop for r in clamped})
+        active: Dict[PolicySet, int] = {}
+        position = 0
         segments: List[PolicyRange] = []
-        for lo, hi in zip(boundaries, boundaries[1:]):
-            policies: PolicySet = PolicySet.empty()
-            for rng in clamped:
-                if rng.start <= lo and hi <= rng.stop:
-                    policies = policies.union(rng.policies)
-            if policies:
-                segments.append(PolicyRange(lo, hi, policies))
-
-        coalesced: List[PolicyRange] = []
-        for seg in segments:
-            if (
-                coalesced
-                and coalesced[-1].stop == seg.start
-                and coalesced[-1].policies == seg.policies
-            ):
-                coalesced[-1] = PolicyRange(
-                    coalesced[-1].start, seg.stop, seg.policies
-                )
+        for at, delta, pset in events:
+            if at != position and active:
+                policies = PolicySet.empty()
+                for member in active:
+                    policies = policies.union(member)
+                last = segments[-1] if segments else None
+                if (
+                    last is not None
+                    and last.stop == position
+                    and last.policies == policies
+                ):
+                    segments[-1] = PolicyRange(last.start, at, policies)
+                else:
+                    segments.append(PolicyRange(position, at, policies))
+            position = at
+            count = active.get(pset, 0) + delta
+            if count:
+                active[pset] = count
             else:
-                coalesced.append(seg)
-        return tuple(coalesced)
+                del active[pset]
+        return tuple(segments)
 
     # -- lazy flattening -----------------------------------------------------
 

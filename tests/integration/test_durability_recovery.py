@@ -611,6 +611,38 @@ class TestSnapshotIntegrity:
         assert os.path.getsize(os.path.join(store, snap)) > 2048
         assert reopen_fingerprint(store) == before
 
+    def test_streamed_snapshot_bytes_equal_one_frame(self, tmp_path):
+        # The writer streams the payload a row at a time and writes the
+        # header last; the file must still be exactly the one-shot frame.
+        from repro.storage.snapshot import build_snapshot, write_snapshot
+        from repro.storage.wal import encode_record
+        store = str(tmp_path / "store")
+        resin = Resin.open(store)
+        resin.db.query("CREATE TABLE t (k TEXT, n INT, r REAL)")
+        resin.db.query("CREATE TABLE empty (k TEXT)")
+        resin.create_index("t", "k")
+        resin.db.query(concat("INSERT INTO t (k, n, r) VALUES ('",
+                              taint_str("caf\u00e9 \u540d", UntrustedData("u")),
+                              "', 7, 2.5)"))
+        resin.db.query("INSERT INTO t (k, n, r) VALUES ('plain', NULL, 0.1)")
+        resin.fs.mkdir("/docs")
+        resin.fs.write_text("/docs/a.txt", taint_str("tainted", UntrustedData("f")))
+        resin.fs.write_text("/docs/b.txt", "")
+        resin.fs.set_persistent_filter(
+            "/docs", WriteAccessFilter(acl=ACL.parse("alice:read,write")))
+        resin.fs.raw.set_xattr("/docs/b.txt", "user.note", b"\x00\xff")
+        doc = build_snapshot(resin.durability.engine, resin.fs.raw, 3)
+        resin.durability.close()
+        assert {t["name"] for t in doc["tables"]} == {"t", "empty"}
+        assert any("xattrs" in entry for entry in doc["fs"])
+        directory = str(tmp_path / "snaps")
+        os.makedirs(directory)
+        for sample in (doc, {"version": 1, "wal_start": 4, "tables": [],
+                             "fs": []}):
+            path = write_snapshot(directory, sample, sync=False)
+            with open(path, "rb") as handle:
+                assert handle.read() == encode_record(sample, max_bytes=None)
+
     def test_oversized_mutation_fails_loudly(self, tmp_path, monkeypatch):
         # A single record over the WAL frame cap must raise at write time —
         # never be acknowledged durable and then dropped as a torn tail on

@@ -6,7 +6,9 @@ from repro.apps.hotcrp import HotCRP
 from repro.core.api import policy_get
 from repro.core.exceptions import DisclosureViolation, HTTPError, PolicyViolation
 from repro.environment import Environment
+from repro.evaluation import table4
 from repro.policies import PasswordPolicy
+from repro.web.request import Request
 
 
 @pytest.fixture
@@ -121,3 +123,57 @@ class TestReviews:
         site.add_review(2, "pc@example.org", "Weak accept.", released=True)
         body = site.review_page(2, "open@example.org").body()
         assert "Weak accept." in body
+
+
+class TestPrincipal:
+    """The request principal is resolved by one query that reads only the
+    PC and chair flags."""
+
+    @pytest.fixture
+    def queries(self, site, monkeypatch):
+        seen = []
+        run = site.env.db.query
+
+        def recording(sql, *args, **kwargs):
+            seen.append(str(sql))
+            return run(sql, *args, **kwargs)
+
+        monkeypatch.setattr(site.env.db, "query", recording)
+        return seen
+
+    @pytest.mark.parametrize("route", ["/paper/1", "/paper/1/reviews"])
+    def test_routed_request_runs_one_principal_query(self, site, queries,
+                                                     route):
+        site.web.handle(Request(route, user="pc@example.org"))
+        principal = [q for q in queries if "FROM users" in q]
+        assert len(principal) == 1
+        assert not any("password" in q for q in queries)
+
+    @pytest.mark.parametrize("email, flags", [
+        ("pc@example.org", (True, False)),
+        ("chair@example.org", (True, True)),
+        ("author@example.org", (False, False)),
+        ("victim@example.org", (False, False)),
+        ("nobody@example.org", (False, False)),
+        (None, (False, False)),
+    ])
+    def test_flags_match_the_user_row(self, site, email, flags):
+        row = site._user(email) if email else None
+        from_row = (bool(row and int(row["is_pc"])),
+                    bool(row and int(row["priv_chair"])))
+        assert site._principal(email) == flags == from_row
+        assert (site.is_pc_member(email), site.is_chair(email)) == flags
+
+    @pytest.mark.parametrize("row, exploited_without_resin", [
+        ("run_hotcrp_password", [True]),
+        ("run_hotcrp_paper_access", [False]),
+        ("run_hotcrp_author_list", [True]),
+    ])
+    def test_table4_hotcrp_verdicts_unchanged(self, row,
+                                              exploited_without_resin):
+        run = getattr(table4, row)
+        for use_resin, expected in ((True, [False]),
+                                    (False, exploited_without_resin)):
+            result = run(use_resin)
+            assert [a.succeeded for a in result.attacks] == expected
+            assert result.legitimate_ok
