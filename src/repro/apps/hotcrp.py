@@ -477,15 +477,14 @@ class HotCRP:
         response.write(f"<h1>Reviews for paper #{paper_id}</h1>\n")
         paper = self._paper(paper_id)
         authors = [a.strip() for a in str(paper["authors"]).split(",")]
-        if not self.use_resin:
-            is_pc, priv_chair = self._principal(user)
         for review in reviews:
             if not self.use_resin:
                 # The (correct) explicit check of the original code: only PC
-                # members and authors of released reviews may see a review.
+                # members and authors of released reviews may see a review
+                # (the flags were resolved when the response was built).
                 allowed = (
-                    is_pc
-                    or priv_chair
+                    response.context.get("is_pc")
+                    or response.context.get("priv_chair")
                     or (int(review["released"]) and user in authors)
                 )
                 if not allowed:

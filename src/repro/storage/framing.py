@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.exceptions import SerializationError
 
@@ -33,7 +33,6 @@ __all__ = [
     "encode_record",
     "encode_value",
     "parse_segment_id",
-    "write_record",
     "segment_name",
 ]
 
@@ -98,49 +97,9 @@ def encode_record(record: Dict[str, Any], *, max_bytes=_DEFAULT_LIMIT) -> bytes:
     return HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def write_record(handle: BinaryIO, record: Dict[str, Any], *, depth: int) -> None:
-    """Write the frame ``encode_record(record, max_bytes=None)`` to the
-    seekable binary file ``handle`` without holding the whole payload.
-
-    Dicts and lists down to ``depth`` levels are written item by item (a
-    dict's keys in sorted order), anything deeper as one piece; the length
-    and CRC accumulate along the way and the header, known only at the end,
-    overwrites a placeholder."""
-    start = handle.tell()
-    handle.write(bytes(HEADER.size))
-    length = crc = 0
-    for chunk in _json_chunks(record, depth):
-        data = chunk.encode("utf-8")
-        handle.write(data)
-        length += len(data)
-        crc = zlib.crc32(data, crc)
-    end = handle.tell()
-    handle.seek(start)
-    handle.write(HEADER.pack(length, crc))
-    handle.seek(end)
-
-
 def _dumps(value: Any) -> str:
     """The payload's JSON form: compact, keys sorted."""
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
-
-
-def _json_chunks(value: Any, depth: int) -> Iterator[str]:
-    if depth and isinstance(value, dict):
-        yield "{"
-        for n, key in enumerate(sorted(value)):
-            yield ("," if n else "") + json.dumps(key) + ":"
-            yield from _json_chunks(value[key], depth - 1)
-        yield "}"
-    elif depth and isinstance(value, list):
-        yield "["
-        for n, item in enumerate(value):
-            if n:
-                yield ","
-            yield from _json_chunks(item, depth - 1)
-        yield "]"
-    else:
-        yield _dumps(value)
 
 
 def decode_records(

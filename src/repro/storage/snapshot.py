@@ -23,8 +23,10 @@ into place — a torn snapshot write leaves only an invalid temp file, and
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Any, Dict, List, Mapping, Optional
+import zlib
+from typing import Any, BinaryIO, Dict, Iterator, List, Mapping, Optional
 
 from ..core.context import as_context
 from ..core.exceptions import PolicyViolation, RecoveryError, SerializationError
@@ -35,7 +37,7 @@ from ..fs.filesystem import FileSystem, Inode
 from ..sql import nodes
 from ..sql.engine import Engine, Table
 from ..sql.indexes import SecondaryIndex
-from .framing import write_record
+from .framing import HEADER, _dumps
 from .wal import decode_records, decode_value, encode_value
 
 __all__ = [
@@ -315,6 +317,46 @@ def snapshot_ids(directory: str) -> List[int]:
 _STREAM_DEPTH = 4
 
 
+def _write_frame(handle: BinaryIO, doc: Dict[str, Any]) -> None:
+    """Write the frame ``encode_record(doc, max_bytes=None)`` to the
+    seekable binary file ``handle`` without holding the whole payload.
+
+    The length and CRC accumulate chunk by chunk; the header, known only at
+    the end, overwrites a placeholder."""
+    start = handle.tell()
+    handle.write(bytes(HEADER.size))
+    length = crc = 0
+    for chunk in _json_chunks(doc, _STREAM_DEPTH):
+        data = chunk.encode("utf-8")
+        handle.write(data)
+        length += len(data)
+        crc = zlib.crc32(data, crc)
+    end = handle.tell()
+    handle.seek(start)
+    handle.write(HEADER.pack(length, crc))
+    handle.seek(end)
+
+
+def _json_chunks(value: Any, depth: int) -> Iterator[str]:
+    """``_dumps(value)`` in pieces: dicts and lists down to ``depth`` levels
+    item by item (a dict's keys in sorted order), anything deeper whole."""
+    if depth and isinstance(value, dict):
+        yield "{"
+        for n, key in enumerate(sorted(value)):
+            yield ("," if n else "") + json.dumps(key) + ":"
+            yield from _json_chunks(value[key], depth - 1)
+        yield "}"
+    elif depth and isinstance(value, list):
+        yield "["
+        for n, item in enumerate(value):
+            if n:
+                yield ","
+            yield from _json_chunks(item, depth - 1)
+        yield "]"
+    else:
+        yield _dumps(value)
+
+
 def write_snapshot(directory: str, doc: Dict[str, Any], *, sync: bool = True) -> str:
     """Write ``doc`` atomically as ``snap-<wal_start>.snap``; returns the
     path.  Temp-file + rename: a crash mid-write never damages an existing
@@ -328,7 +370,7 @@ def write_snapshot(directory: str, doc: Dict[str, Any], *, sync: bool = True) ->
     path = os.path.join(directory, _snapshot_name(doc["wal_start"]))
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
-        write_record(handle, doc, depth=_STREAM_DEPTH)
+        _write_frame(handle, doc)
         if sync:
             handle.flush()
             os.fsync(handle.fileno())

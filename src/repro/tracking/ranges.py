@@ -194,7 +194,10 @@ class RangeMap:
         # Clamp to [0, length) and drop empty ranges and empty policy sets.
         # Then sweep the sorted endpoints, keeping a multiset of the policy
         # sets active between consecutive endpoints; each segment carries
-        # their union, and adjacent equal segments coalesce.  O(n log n).
+        # their union, and adjacent equal segments coalesce.  The sort is
+        # O(n log n); each distinct endpoint then unions the k policy sets
+        # active there, so the whole is O(n log n + n * k).  Unit ranges
+        # that never overlap have k <= 1.
         events: List[Tuple[int, int, PolicySet]] = []
         for rng in ranges:
             start = max(0, rng.start)

@@ -6,7 +6,6 @@ from repro.apps.hotcrp import HotCRP
 from repro.core.api import policy_get
 from repro.core.exceptions import DisclosureViolation, HTTPError, PolicyViolation
 from repro.environment import Environment
-from repro.evaluation import table4
 from repro.policies import PasswordPolicy
 from repro.web.request import Request
 
@@ -129,25 +128,45 @@ class TestPrincipal:
     """The request principal is resolved by one query that reads only the
     PC and chair flags."""
 
+    @pytest.fixture(params=[True, False], ids=["resin", "legacy"])
+    def routed_site(self, request, site, legacy_site):
+        if request.param:
+            return site
+        legacy_site.register_user("pc@example.org", "pc-password", is_pc=True)
+        legacy_site.submit_paper(1, "RESIN", "Abstract text.",
+                                 ["author@example.org"], anonymous=True)
+        legacy_site.add_review(1, "pc@example.org", "Accept.", released=False)
+        return legacy_site
+
     @pytest.fixture
-    def queries(self, site, monkeypatch):
+    def queries(self, routed_site, monkeypatch):
         seen = []
-        run = site.env.db.query
+        run = routed_site.env.db.query
 
         def recording(sql, *args, **kwargs):
             seen.append(str(sql))
             return run(sql, *args, **kwargs)
 
-        monkeypatch.setattr(site.env.db, "query", recording)
+        monkeypatch.setattr(routed_site.env.db, "query", recording)
         return seen
 
     @pytest.mark.parametrize("route", ["/paper/1", "/paper/1/reviews"])
-    def test_routed_request_runs_one_principal_query(self, site, queries,
-                                                     route):
-        site.web.handle(Request(route, user="pc@example.org"))
+    def test_routed_request_runs_one_principal_query(self, routed_site,
+                                                     queries, route):
+        routed_site.web.handle(Request(route, user="pc@example.org"))
         principal = [q for q in queries if "FROM users" in q]
         assert len(principal) == 1
         assert not any("password" in q for q in queries)
+
+    @pytest.mark.parametrize("user, sees_review", [
+        ("pc@example.org", True),
+        ("author@example.org", False),
+    ])
+    def test_routed_review_check_uses_resolved_flags(self, routed_site, user,
+                                                     sees_review):
+        response = routed_site.web.handle(
+            Request("/paper/1/reviews", user=user))
+        assert ("Accept." in response.body()) == sees_review
 
     @pytest.mark.parametrize("email, flags", [
         ("pc@example.org", (True, False)),
@@ -163,17 +182,3 @@ class TestPrincipal:
                     bool(row and int(row["priv_chair"])))
         assert site._principal(email) == flags == from_row
         assert (site.is_pc_member(email), site.is_chair(email)) == flags
-
-    @pytest.mark.parametrize("row, exploited_without_resin", [
-        ("run_hotcrp_password", [True]),
-        ("run_hotcrp_paper_access", [False]),
-        ("run_hotcrp_author_list", [True]),
-    ])
-    def test_table4_hotcrp_verdicts_unchanged(self, row,
-                                              exploited_without_resin):
-        run = getattr(table4, row)
-        for use_resin, expected in ((True, [False]),
-                                    (False, exploited_without_resin)):
-            result = run(use_resin)
-            assert [a.succeeded for a in result.attacks] == expected
-            assert result.legitimate_ok
