@@ -1,27 +1,6 @@
-"""Miniature reproductions of the paper's evaluation applications."""
+"""Miniature reproductions of the paper's evaluation applications.
 
-from .admissions import AdmissionsSystem
-from .filemanager import BaseFileManager, FileThingie, PHPNavigator
-from .hotcrp import AuthorListPolicy, HotCRP, PaperPolicy, ReviewPolicy
-from .loginlib import LoginLibrary
-from .moinmoin import MoinMoin
-from .phpbb import ForumMessagePolicy, PhpBB
-from .scriptapps import VULNERABLE_APPS, UploadApp, build_all
-
-__all__ = [
-    "HotCRP",
-    "PaperPolicy",
-    "AuthorListPolicy",
-    "ReviewPolicy",
-    "MoinMoin",
-    "PhpBB",
-    "ForumMessagePolicy",
-    "FileThingie",
-    "PHPNavigator",
-    "BaseFileManager",
-    "AdmissionsSystem",
-    "LoginLibrary",
-    "UploadApp",
-    "VULNERABLE_APPS",
-    "build_all",
-]
+Import the one you serve from its own module (``repro.apps.hotcrp``,
+``repro.apps.phpbb``, ...): the package imports none of them, so serving
+one application does not load the others.
+"""

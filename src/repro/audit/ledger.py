@@ -24,6 +24,7 @@ data — ``sync="flush"`` (survive process crash) is the default, with
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from typing import Any, Dict, Iterator, List, Optional
@@ -74,8 +75,8 @@ class AuditLedger:
 
         existing = self.segment_ids()
         self._segment_id = existing[-1] if existing else 1
-        self._next_seq = self._recover_next_seq(existing)
-        self._file = self._open_segment(self._segment_id)
+        self._file, active = self._open_segment(self._segment_id)
+        self._next_seq = self._recover_next_seq(active, existing[:-1])
 
     # -- segments -----------------------------------------------------------
 
@@ -105,45 +106,52 @@ class AuditLedger:
         records, _ = framing.decode_records(data)
         return records
 
-    def _recover_next_seq(self, existing: List[int]) -> int:
+    def _recover_next_seq(
+        self, active: List[Dict[str, Any]], sealed: List[int]
+    ) -> int:
         """Continue the sequence after the highest surviving event.
 
-        Only valid (CRC-checked) records count: a torn tail never advances
-        the sequence, so a reopened ledger hands out exactly the numbers
-        the lost suffix would have used.
+        ``active`` holds the active segment's valid records; ``sealed``
+        segments are read, newest first, only while no record carries a
+        seq.  Only valid (CRC-checked) records count: a torn tail never
+        advances the sequence, so a reopened ledger hands out exactly the
+        numbers the lost suffix would have used.
         """
-        highest = 0
-        for segment_id in reversed(existing):
-            records = self._read_segment(segment_id)
-            if records:
-                highest = max(
-                    (
-                        record.get("seq", 0)
-                        for record in records
-                        if isinstance(record.get("seq"), int)
-                    ),
-                    default=0,
-                )
-                if highest:
-                    break
-        return highest + 1
+        older = map(self._read_segment, reversed(sealed))
+        for records in itertools.chain((active,), older):
+            highest = max(
+                (
+                    record.get("seq", 0)
+                    for record in records
+                    if isinstance(record.get("seq"), int)
+                ),
+                default=0,
+            )
+            if highest:
+                return highest + 1
+        return 1
 
     def _open_segment(self, segment_id: int):
-        """Open a segment for append, truncating any torn tail first."""
+        """Open a segment for append, truncating any torn tail first.
+
+        One decode serves both needs of an open: the returned valid
+        records (for seq recovery) and the valid length (for truncation).
+        """
         path = self.segment_path(segment_id)
+        records: List[Dict[str, Any]] = []
         if os.path.exists(path):
             with open(path, "rb") as handle:
                 data = handle.read()
-            _, valid = framing.decode_records(data)
+            records, valid = framing.decode_records(data)
             if valid != len(data):
                 with open(path, "r+b") as handle:
                     handle.truncate(valid)
-        return open(path, "ab")
+        return open(path, "ab"), records
 
     def _rotate_locked(self) -> None:
         self._file.close()
         self._segment_id += 1
-        self._file = self._open_segment(self._segment_id)
+        self._file, _ = self._open_segment(self._segment_id)
         self._purge_locked()
 
     def _purge_locked(self) -> None:

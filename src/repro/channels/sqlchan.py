@@ -32,7 +32,9 @@ from ..sql import nodes
 from ..sql.engine import Engine, Result, Row
 from ..sql.parser import parse
 from ..sql.planner import bind_parameters, collect_params
-from ..sql.tokenizer import PARAM, tokenize
+# ``tokenize`` is no longer called here, but tracing tools reference it by
+# this module's name.
+from ..sql.tokenizer import scan, tokenize  # noqa: F401
 from ..tracking.propagation import policies_of
 from ..tracking.tainted_number import TaintedFloat, TaintedInt
 from ..tracking.tainted_str import TaintedStr
@@ -565,16 +567,20 @@ def _query_param_names(sql) -> FrozenSet[str]:
     """The ``:name`` parameters a query mentions.
 
     Cheap on the hot path: SQL text without a ``:`` has no parameters and
-    skips tokenization entirely.  Text that fails to tokenize is reported
-    as parameterless — the filter chain may rewrite it into valid SQL (the
-    auto-sanitizing filter does), so errors are left to the execution path,
-    which sees exactly what the chain produced."""
+    is not scanned; text with one is scanned once as plain text (a ``:``
+    inside a literal, such as a URL in a post body, builds no tokens).
+    Text that fails to scan is reported as parameterless — the filter
+    chain may rewrite it into valid SQL (the auto-sanitizing filter does),
+    so errors are left to the execution path, which sees exactly what the
+    chain produced."""
     if isinstance(sql, str):
-        if ":" not in str(sql):
+        text = str(sql)
+        if ":" not in text:
             return frozenset()
         try:
-            return frozenset(str(token.value) for token in tokenize(sql)
-                             if token.type == PARAM)
+            return frozenset(text[start + 1:end]
+                             for kind, start, end in scan(text)
+                             if kind == "param")
         except SQLError:
             return frozenset()
     return frozenset(collect_params(sql))

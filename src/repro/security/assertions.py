@@ -21,7 +21,7 @@ from ..core.request_context import request_scoped_context
 from ..policies.acl import ACL
 from ..policies.code_approval import CodeApproval
 from ..policies.untrusted import HTMLSanitized, SQLSanitized, UntrustedData
-from ..sql.tokenizer import STRING, tokenize
+from ..sql.tokenizer import scan
 from ..tracking.tainted_str import TaintedStr
 from ..web.request import Request
 
@@ -106,18 +106,22 @@ class SQLGuardFilter(Filter):
                     context=request_scoped_context(self.context))
 
     def _check_structure(self, sql: TaintedStr) -> None:
-        from ..sql.tokenizer import NUMBER
-        for token in tokenize(sql):
-            if token.type in (STRING, NUMBER):
+        text = str(sql)
+        spans = scan(text)  # malformed SQL raises here, whatever its taint
+        untrusted = [(rng.start, rng.stop) for rng in sql.rangemap.ranges
+                     if rng.policies.has_type(UntrustedData)]
+        if not untrusted:
+            return
+        for kind, start, end in spans:
+            if kind == "string" or kind == "number":
                 # Literals are data, not structure: untrusted data is allowed
                 # to appear as a string literal's contents or a bare number —
                 # it just may not change keywords, identifiers or operators.
                 continue
-            text = token.text
-            if isinstance(text, TaintedStr) and text.has_policy_type(UntrustedData):
+            if any(lo < end and start < hi for lo, hi in untrusted):
                 raise InjectionViolation(
                     "user input reached SQL query structure near "
-                    f"{str(text)[:40]!r}",
+                    f"{text[start:end][:40]!r}",
                     context=request_scoped_context(self.context))
 
 

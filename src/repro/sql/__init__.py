@@ -5,7 +5,7 @@ from . import nodes
 from .engine import Engine, Result, Row, Table
 from .executor import Executor
 from .indexes import SecondaryIndex
-from .parser import Parser, parse
+from .parser import Parser, clear_parse_cache, parse, parse_cache_info
 from .planner import Plan, Planner, bind_parameters, collect_params
 from .tokenizer import Token, tokenize
 
@@ -17,6 +17,8 @@ __all__ = [
     "Table",
     "Parser",
     "parse",
+    "parse_cache_info",
+    "clear_parse_cache",
     "Token",
     "tokenize",
     "Plan",

@@ -5,16 +5,25 @@ dialect covers what the paper's applications need: CREATE/DROP TABLE, INSERT,
 SELECT (WHERE / ORDER BY / LIMIT / aggregates), UPDATE and DELETE, with the
 usual comparison operators, ``AND``/``OR``/``NOT``, ``LIKE``, ``IN`` and
 ``IS [NOT] NULL``.
+
+:func:`parse` caches one *template* per statement shape: the statement's
+text with its string and number literals cut out.  Statements that differ
+only in their literals (``... WHERE id = 1`` and ``... WHERE id = 2``) are
+parsed once.  Every statement is scanned once; a hit builds no token, cooks
+only its literals from the live query and binds them into the template's
+slots, and a miss parses the tokens of that same scan.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import threading
+from typing import Dict, List, Optional, Tuple
 
 from ..core.exceptions import SQLError
 from . import nodes
+from .planner import bind_parameters, collect_params
 from .tokenizer import (EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, PUNCT, STRING,
-                        Token, tokenize)
+                        Token, Tokens, literal_value, tokenize)
 
 _TYPE_KEYWORDS = {"integer", "int", "text", "real", "float", "varchar", "char"}
 _AGGREGATES = {"count", "min", "max", "sum", "avg"}
@@ -24,9 +33,11 @@ _FUNCTIONS = _AGGREGATES | {"lower", "upper", "length"}
 class Parser:
     """Parses one SQL statement."""
 
-    def __init__(self, sql):
+    def __init__(self, sql, tokens: Optional[Tokens] = None):
         self.sql = sql
-        self.tokens: List[Token] = tokenize(sql)
+        if tokens is None:
+            tokens = tokenize(sql)
+        self.tokens: List[Token] = tokens.as_list()
         self.position = 0
 
     # -- token helpers ---------------------------------------------------------
@@ -135,7 +146,7 @@ class Parser:
             elif self.accept(KEYWORD, "autoincrement"):
                 constraints.append("AUTOINCREMENT")
             elif self.accept(KEYWORD, "default"):
-                literal = self._primary()
+                literal = self._value(self._primary())
                 constraints.append(f"DEFAULT {literal.to_sql()}")
             else:
                 break
@@ -337,14 +348,13 @@ class Parser:
             operand = self._primary()
             if sign == "+":
                 return operand
+            operand = self._value(operand)
             if isinstance(operand, nodes.Literal) \
                     and isinstance(operand.value, (int, float)):
                 return nodes.Literal(-operand.value)
             raise SQLError("unary minus is only supported on numeric literals")
-        if self.check(STRING):
-            return nodes.Literal(self.advance().value)
-        if self.check(NUMBER):
-            return nodes.Literal(self.advance().value)
+        if self.current.type in (STRING, NUMBER):
+            return self._literal(self.advance())
         if self.accept(KEYWORD, "null"):
             return nodes.Literal(None)
         if self.check(PARAM):
@@ -372,7 +382,138 @@ class Parser:
         raise SQLError(
             f"unexpected token {self.current.value!r} in expression")
 
+    # -- literals ----------------------------------------------------------------------
+
+    def _literal(self, token: Token) -> nodes.Expr:
+        """The node for a string or number literal in an expression."""
+        return nodes.Literal(token.value)
+
+    def _value(self, expr: nodes.Expr) -> nodes.Expr:
+        """``expr`` about to be consumed as a value (folded or rendered)
+        rather than kept in the tree."""
+        return expr
+
+
+class _TemplateParser(Parser):
+    """Parses a statement into a template: every literal that becomes a
+    :class:`~repro.sql.nodes.Literal` node becomes a ``Param`` slot instead.
+
+    Slots are named ``#<n>`` for the statement's ``n``-th literal; the
+    tokenizer cannot produce such a parameter name, so slots never collide
+    with an application's ``:name``.  A literal the parser consumes as a
+    value (a folded ``-1``, a column ``DEFAULT``) gives its slot back; so
+    does one it never turns into a node (``LIMIT 10``, ``VARCHAR(20)``).
+    """
+
+    def __init__(self, tokens: Tokens, literals: List[Tuple[str, int, int]]):
+        super().__init__(tokens.sql, tokens)
+        self._ordinal = {start: n for n, (_, start, _) in enumerate(literals)}
+        #: Slot name -> (literal ordinal, token).
+        self.slots: Dict[str, Tuple[int, Token]] = {}
+
+    def _literal(self, token: Token) -> nodes.Expr:
+        ordinal = self._ordinal[token.start]
+        name = f"#{ordinal}"
+        self.slots[name] = (ordinal, token)
+        return nodes.Param(name)
+
+    def _value(self, expr: nodes.Expr) -> nodes.Expr:
+        values = {name: self.slots.pop(name)[1].value
+                  for name in collect_params(expr) if name in self.slots}
+        return bind_parameters(expr, values)
+
+
+class _Template:
+    """One statement shape: the AST with a slot per literal, and the
+    literals that must recur verbatim for the template to apply."""
+
+    __slots__ = ("statement", "slots", "fixed")
+
+    def __init__(self, statement: nodes.Statement,
+                 slots: Tuple[Tuple[int, str], ...],
+                 fixed: Tuple[Tuple[int, str], ...]):
+        self.statement = statement
+        #: ``(literal ordinal, slot name)`` per slot.
+        self.slots = slots
+        #: ``(literal ordinal, literal text)`` per literal consumed as a value.
+        self.fixed = fixed
+
+
+#: Bound on the template cache (emptied, not evicted, when full: an
+#: application issues a handful of statement shapes).
+_TEMPLATE_CACHE_LIMIT = 1024
+
+#: Shape key -> template, shared by every thread.  Templates are never
+#: mutated; the lock guards the counters and the fill-or-empty step.
+_templates: Dict[tuple, _Template] = {}
+_templates_lock = threading.Lock()
+_hits = 0
+_misses = 0
+
 
 def parse(sql) -> nodes.Statement:
-    """Parse one SQL statement into an AST."""
-    return Parser(sql).parse()
+    """Parse one SQL statement into an AST.
+
+    The statement's shape keys a cached template; on a hit only the
+    literals are cooked from ``sql`` (so a string literal keeps the
+    policies of this query's characters) and bound into the template's
+    slots.  Keywords, identifiers and numbers carry no taint in the AST,
+    so the template is the same for every taint of the same text.
+    """
+    global _hits, _misses
+    tokens = tokenize(sql)
+    text = tokens.text
+    pieces: List[str] = []
+    literals: List[Tuple[str, int, int]] = []
+    last = 0
+    for span in tokens.spans:
+        kind, start, end = span
+        if kind == "string" or kind == "number":
+            pieces += (text[last:start], kind)
+            literals.append(span)
+            last = end
+    pieces.append(text[last:])
+    key = tuple(pieces)
+    template = _templates.get(key)
+    if template is not None and all(
+            text[literals[n][1]:literals[n][2]] == fixed
+            for n, fixed in template.fixed):
+        with _templates_lock:
+            _hits += 1
+        sql = tokens.sql
+        values = {}
+        for ordinal, name in template.slots:
+            kind, start, end = literals[ordinal]
+            values[name] = literal_value(sql, kind, start, text[start:end])
+        return bind_parameters(template.statement, values)
+    parser = _TemplateParser(tokens, literals)
+    statement = parser.parse()
+    slots = tuple((ordinal, name) for name, (ordinal, _) in parser.slots.items())
+    taken = {ordinal for ordinal, _ in slots}
+    fixed = tuple((n, text[start:end])
+                  for n, (_, start, end) in enumerate(literals)
+                  if n not in taken)
+    with _templates_lock:
+        _misses += 1
+        if len(_templates) >= _TEMPLATE_CACHE_LIMIT:
+            _templates.clear()
+        _templates[key] = _Template(statement, slots, fixed)
+    return bind_parameters(statement, {
+        name: token.value for name, (_, token) in parser.slots.items()})
+
+
+def parse_cache_info() -> dict:
+    """Hits/misses/size of the statement-template cache (for tests and
+    benchmarks); a miss counts once its template is built."""
+    with _templates_lock:
+        return {"hits": _hits, "misses": _misses, "size": len(_templates),
+                "maxsize": _TEMPLATE_CACHE_LIMIT}
+
+
+def clear_parse_cache() -> None:
+    """Drop every cached template (and reset the hit/miss counters)."""
+    global _hits, _misses
+    with _templates_lock:
+        _templates.clear()
+        _hits = 0
+        _misses = 0

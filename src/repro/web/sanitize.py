@@ -42,10 +42,24 @@ def _escape_chars(text: TaintedStr, replacements) -> TaintedStr:
 
 def sql_quote(value) -> TaintedStr:
     """Escape a value for inclusion inside a single-quoted SQL literal and
-    mark it ``SQLSanitized``."""
+    mark it ``SQLSanitized``.
+
+    Works per run: each stretch between quotes is one slice, and each
+    ``'`` is doubled by repeating its own one-character slice, so every
+    character of the result keeps the policies of the one it came from.
+    """
     text = to_tainted_str(value)
-    escaped = _escape_chars(text, {"'": "''"})
-    return escaped.with_policy(SQLSanitized("sql_quote")) if escaped else escaped
+    if "'" in text:
+        pieces = []
+        index = 0
+        for run in str(text).split("'")[:-1]:
+            stop = index + len(run)
+            quote = text[stop : stop + 1]
+            pieces += (text[index:stop], quote, quote)
+            index = stop + 1
+        pieces.append(text[index:])
+        text = TaintedStr("").join(pieces)
+    return text.with_policy(SQLSanitized("sql_quote")) if text else text
 
 
 _HTML_REPLACEMENTS = {

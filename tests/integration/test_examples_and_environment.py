@@ -1,14 +1,19 @@
-"""Integration tests: the Environment facade and the shipped examples.
+"""Integration tests: the Environment facade, the shipped examples and
+what importing one application loads.
 
 Every example in ``examples/`` must run cleanly — they are part of the
 public documentation, so a regression there is a regression in the library.
 """
 
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.api import policy_add
 from repro.core.exceptions import DisclosureViolation
 from repro.environment import Environment
@@ -60,3 +65,16 @@ def test_example_runs(example, capsys):
     out = capsys.readouterr().out
     assert out.strip(), f"{example.name} produced no output"
     assert "Traceback" not in out
+
+
+def test_importing_one_app_loads_no_other():
+    code = ("import sys, repro.apps.hotcrp; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.apps.')))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    loaded = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                            capture_output=True, text=True).stdout
+    assert "repro.apps.hotcrp" in loaded
+    for other in ("moinmoin", "admissions", "filemanager", "loginlib",
+                  "scriptapps", "phpbb"):
+        assert f"repro.apps.{other}'" not in loaded

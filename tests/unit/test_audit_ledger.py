@@ -150,6 +150,38 @@ class TestKillAnywhereRecovery:
         assert numbers == list(range(self.EVENTS))
 
 
+class TestOpenReadsOnce:
+    def test_open_decodes_the_active_segment_once(self, tmp_path, monkeypatch):
+        directory = str(tmp_path)
+        with AuditLedger(directory) as ledger:
+            _fill(ledger, 5)
+        decoded = []
+        original = framing.decode_records
+
+        def counting(data):
+            decoded.append(len(data))
+            return original(data)
+
+        monkeypatch.setattr(framing, "decode_records", counting)
+        with AuditLedger(directory) as ledger:
+            assert ledger.next_seq == 6
+        assert len(decoded) == 1
+
+    def test_seq_comes_from_a_sealed_segment_when_the_active_is_empty(
+            self, tmp_path):
+        directory = str(tmp_path)
+        with AuditLedger(directory, segment_bytes=200) as ledger:
+            _fill(ledger, 6)
+            sealed = ledger.segment_ids()[:-1]
+        active = os.path.join(directory, framing.segment_name(
+            max(sealed) + 1, ".audit"))
+        with open(active, "wb"):
+            pass  # the active segment lost every record
+        with AuditLedger(directory, segment_bytes=200) as ledger:
+            last = [e["seq"] for e in ledger.iter_events()][-1]
+            assert ledger.next_seq == last + 1
+
+
 class TestMemoryLedger:
     def test_round_trip_and_seq(self):
         ledger = MemoryLedger()
